@@ -20,8 +20,8 @@
 //! `--json <path>`. Also accepts `--trace <path>` / `--trace-summary` and
 //! `--metrics <path>` like the other experiment binaries. Env: `NIDC_SCALE`
 //! scales the corpus (default 0.5), `NIDC_EVERY` sets the days between
-//! re-clusterings (default 10), `NIDC_THREADS` sets each pipeline's inner
-//! worker count (default 0 = all), `NIDC_STITCH_TAU` overrides the
+//! re-clusterings (default 10), `NIDC_THREADS` sets the worker count the
+//! shards are spread over (default 0 = all; reported as `inner_threads`), `NIDC_STITCH_TAU` overrides the
 //! stitching threshold (default `DEFAULT_STITCH_THRESHOLD`).
 
 use std::time::Instant;
@@ -95,7 +95,7 @@ fn main() {
         prep.corpus.len()
     );
     println!(
-        "(K=24, beta=7d, gamma=21d, stitch tau={tau}, inner threads {threads}; host hardware threads {})\n",
+        "(K=24, beta=7d, gamma=21d, stitch tau={tau}, threads {threads}; host hardware threads {})\n",
         nidc_parallel::available_threads()
     );
     println!("| shards | rounds | stats ms | cluster+merge ms | stitch ms | live docs | merged F1 | stitched F1 |");

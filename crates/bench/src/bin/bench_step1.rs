@@ -7,10 +7,10 @@
 //! pays K per-cluster dot products per document — O(K·nnz(φ_d)) — while the
 //! sparse backend's [`ClusterIndex::dot_all`] accumulates all K dots in one
 //! pass over φ_d's terms — O(Σ_t |postings(t)|). This binary times the two
-//! sweeps over identical mirrored state (checked bit-identical first), plus
-//! the full `cluster_batch` wall-clock under both backends, and reports the
-//! memory footprints: dense K·|V|·8 bytes vs the sparse reps' Σnnz·16 and
-//! the index's postings·16.
+//! sweeps over identical mirrored state (checked bit-identical first) and
+//! reports the memory footprints: dense K·|V|·8 bytes vs the sparse reps'
+//! Σnnz·16 and the index's postings·16. These are the two storages
+//! `cluster_with_initial` chooses between per run (`K · avg nnz(φ)`).
 //!
 //! Writes `results/BENCH_step1.json` by default; override with
 //! `--json <path>`. With `--metrics <path>` (`--metrics-format jsonl|prom`),
@@ -18,38 +18,21 @@
 //! `nidc_index_postings_touched_total` vs `nidc_kmeans_step1_candidates_total`
 //! pair quantifies the inverted-index saving directly. Env: `NIDC_SCALE`
 //! scales the corpus (default 1.0 ≈ the paper's 7,578-document subset),
-//! `NIDC_SWEEPS` the number of timed sweep repetitions (default 5),
-//! `NIDC_BATCH_REPS` the best-of-N repetitions of the end-to-end
-//! `cluster_batch` timings (default 3).
+//! `NIDC_SWEEPS` the number of timed sweep repetitions (default 5).
 
 use std::time::{Duration, Instant};
 
 use nidc_bench::{
     metrics_from_args, scale_from_env, trace_from_args, write_json_report, PreparedCorpus,
 };
-use nidc_core::{cluster_batch, ClusteringConfig, RepBackend};
+use nidc_core::{cluster_batch, ClusteringConfig};
 use nidc_forgetting::{DecayParams, Timestamp};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBackend};
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let t = Instant::now();
     let r = f();
     (r, t.elapsed())
-}
-
-/// Best-of-`reps` timing: repeats `f` and keeps the fastest wall-clock.
-/// The minimum is the standard estimator for "how fast does this code run"
-/// on a noisy shared host — scheduler preemption only ever adds time.
-fn time_best<R>(reps: usize, f: impl Fn() -> R) -> (R, Duration) {
-    let (mut best_r, mut best_t) = time(&f);
-    for _ in 1..reps {
-        let (r, t) = time(&f);
-        if t < best_t {
-            best_r = r;
-            best_t = t;
-        }
-    }
-    (best_r, best_t)
 }
 
 fn main() {
@@ -60,11 +43,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
-    let batch_reps: usize = std::env::var("NIDC_BATCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1);
 
     println!("step-1 sweep: dense reps vs sparse reps + inverted index (expt1 workload)");
     println!(
@@ -152,40 +130,10 @@ fn main() {
         });
         assert_eq!(dense_acc, index_acc, "sweep accumulators must agree");
 
-        // end-to-end: the whole extended K-means under each backend
-        // (best-of-N so one scheduler hiccup cannot fake a regression)
-        let (c_dense, t_batch_dense) = time_best(batch_reps, || {
-            cluster_batch(
-                &vecs,
-                &ClusteringConfig {
-                    rep_backend: RepBackend::Dense,
-                    ..config.clone()
-                },
-            )
-            .unwrap()
-        });
-        let (c_sparse, t_batch_sparse) = time_best(batch_reps, || {
-            cluster_batch(
-                &vecs,
-                &ClusteringConfig {
-                    rep_backend: RepBackend::Sparse,
-                    ..config.clone()
-                },
-            )
-            .unwrap()
-        });
-        assert_eq!(
-            c_dense.member_lists(),
-            c_sparse.member_lists(),
-            "backends must produce identical clusterings at k={k}"
-        );
-        assert!(c_dense.g() == c_sparse.g(), "G must be bit-identical");
-
         let docs_swept = (ids.len() * sweeps) as f64;
         let dense_docs_per_sec = docs_swept / t_dense.as_secs_f64().max(1e-9);
         let index_docs_per_sec = docs_swept / t_index.as_secs_f64().max(1e-9);
         let sweep_speedup = t_dense.as_secs_f64() / t_index.as_secs_f64().max(1e-9);
-        let batch_speedup = t_batch_dense.as_secs_f64() / t_batch_sparse.as_secs_f64().max(1e-9);
 
         // memory: dense is K vocabulary-length f64 arrays; sparse stores
         // (TermId, f64) pairs, as does each index posting
@@ -205,11 +153,6 @@ fn main() {
             t_index.as_secs_f64() * 1e3,
         );
         println!(
-            "  cluster_batch  dense {:>9.1} ms   sparse {:>9.1} ms   speedup {batch_speedup:.2}x",
-            t_batch_dense.as_secs_f64() * 1e3,
-            t_batch_sparse.as_secs_f64() * 1e3,
-        );
-        println!(
             "  memory      dense reps {:>11} B   sparse reps {:>9} B ({mem_reduction:.1}x smaller)   postings {:>9} B\n",
             dense_rep_bytes, sparse_rep_bytes, postings_bytes,
         );
@@ -224,9 +167,6 @@ fn main() {
             "dense_docs_per_sec": dense_docs_per_sec,
             "index_docs_per_sec": index_docs_per_sec,
             "sweep_speedup": sweep_speedup,
-            "cluster_batch_dense_ms": t_batch_dense.as_secs_f64() * 1e3,
-            "cluster_batch_sparse_ms": t_batch_sparse.as_secs_f64() * 1e3,
-            "cluster_batch_speedup": batch_speedup,
             "dense_rep_bytes": dense_rep_bytes,
             "sparse_rep_bytes": sparse_rep_bytes,
             "index_postings_bytes": postings_bytes,

@@ -45,7 +45,71 @@ impl Command {
             _ => None,
         }
     }
+
+    /// The options (`--key value` and `--flag`) this command reads, beyond
+    /// the [`COMMON_OPTIONS`] every command accepts.
+    fn options(self) -> &'static [&'static str] {
+        match self {
+            Command::Generate => &["out", "scale", "seed"],
+            Command::Stats => &["input"],
+            Command::Cluster => &[
+                "input",
+                "k",
+                "beta",
+                "gamma",
+                "from",
+                "to",
+                "top",
+                "seed",
+                "json",
+                "threads",
+                "metrics",
+                "metrics-format",
+                "events",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Stream => &[
+                "input",
+                "k",
+                "beta",
+                "gamma",
+                "every",
+                "seed",
+                "state",
+                "shards",
+                "stitch",
+                "stitch-threshold",
+                "threads",
+                "metrics",
+                "metrics-format",
+                "events",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Eval => &[
+                "input",
+                "window",
+                "k",
+                "beta",
+                "gamma",
+                "seed",
+                "threads",
+                "shards",
+                "stitch",
+                "stitch-threshold",
+                "metrics",
+                "metrics-format",
+                "trace",
+                "trace-summary",
+            ],
+            Command::Inspect => &["events", "top"],
+        }
+    }
 }
+
+/// Options every command accepts.
+const COMMON_OPTIONS: &[&str] = &["help", "log-level", "alloc-stats"];
 
 /// Options that never take a value.
 const BOOLEAN_FLAGS: &[&str] = &["json", "help", "trace-summary", "alloc-stats"];
@@ -69,6 +133,11 @@ impl ParsedArgs {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument '{tok}'")));
             };
+            if !COMMON_OPTIONS.contains(&key) && !command.options().contains(&key) {
+                return Err(CliError::Usage(format!(
+                    "unknown option '--{key}' for '{word}'"
+                )));
+            }
             if BOOLEAN_FLAGS.contains(&key) {
                 flags.push(key.to_owned());
                 continue;
@@ -196,6 +265,45 @@ mod tests {
             ParsedArgs::parse(["cluster", "positional"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        for (command, option) in [
+            ("cluster", "--rep"),
+            ("stream", "--rep"),
+            ("eval", "--rep"),
+            ("stream", "--shard"),
+            ("cluster", "--thread"),
+            ("eval", "--events"),
+            ("stats", "--k"),
+        ] {
+            match ParsedArgs::parse([command, option, "1"]) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(option), "{command} {option}: {msg}")
+                }
+                other => panic!("{command} {option} was accepted: {other:?}"),
+            }
+        }
+        // a misspelt flag is rejected before it can swallow a value
+        assert!(matches!(
+            ParsedArgs::parse(["cluster", "--jsn"]),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn every_command_accepts_its_own_and_the_common_options() {
+        for word in ["generate", "stats", "cluster", "stream", "eval", "inspect"] {
+            let command = Command::parse(word).unwrap();
+            for key in command.options().iter().chain(COMMON_OPTIONS) {
+                let mut line = vec![word.to_owned(), format!("--{key}")];
+                if !BOOLEAN_FLAGS.contains(key) {
+                    line.push("1".to_owned());
+                }
+                assert!(ParsedArgs::parse(line).is_ok(), "{word} --{key}");
+            }
+        }
     }
 
     #[test]

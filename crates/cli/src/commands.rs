@@ -4,9 +4,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 
-use nidc_core::{
-    cluster_batch, Cluster, ClusteringConfig, MergedClustering, RepBackend, ShardedPipeline,
-};
+use nidc_core::{cluster_batch, Cluster, ClusteringConfig, MergedClustering, ShardedPipeline};
 use nidc_corpus::{Corpus, Generator, GeneratorConfig, TopicId};
 use nidc_eval::{evaluate, evaluate_sharded, purity, Labeling, MARKING_THRESHOLD};
 use nidc_forgetting::{DecayParams, Repository, Timestamp};
@@ -61,15 +59,6 @@ pub fn run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         )?;
     }
     result
-}
-
-/// `--rep dense|sparse`: the representative backend (perf knob; results
-/// are bit-identical either way, so it defaults like `--threads` does).
-fn rep_backend_from(args: &ParsedArgs) -> Result<RepBackend> {
-    match args.get("rep") {
-        None => Ok(RepBackend::default()),
-        Some(s) => s.parse().map_err(CliError::Usage),
-    }
 }
 
 /// `--stitch on|off [--stitch-threshold T]`: the query-time stitching pass
@@ -261,7 +250,6 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 24)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let top = args.get_usize("top", 10)?;
@@ -285,7 +273,7 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     }
     repo.advance_to(Timestamp(to))
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let vecs = DocVectors::build_parallel(&repo, config.threads);
+    let vecs = DocVectors::build(&repo);
     let clustering = cluster_batch(&vecs, &config).map_err(|e| CliError::Other(e.to_string()))?;
     if let Some(m) = exporter.as_mut() {
         m.record_window(&[("from", from), ("to", to)])?;
@@ -361,7 +349,6 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 16)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let mut exporter = metrics_exporter(args)?;
@@ -515,7 +502,6 @@ fn eval<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
         k: args.get_usize("k", 24)?,
         seed: args.get_u64("seed", 42)?,
         threads: args.get_usize("threads", 0)?,
-        rep_backend: rep_backend_from(args)?,
         ..ClusteringConfig::default()
     };
     let mut exporter = metrics_exporter(args)?;
@@ -608,7 +594,7 @@ fn eval<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     }
     repo.advance_to(Timestamp(w.end))
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let vecs = DocVectors::build_parallel(&repo, config.threads);
+    let vecs = DocVectors::build(&repo);
     let clustering = cluster_batch(&vecs, &config).map_err(|e| CliError::Other(e.to_string()))?;
     if let Some(m) = exporter.as_mut() {
         m.record_window(&[("window", window_no as f64)])?;
@@ -843,6 +829,16 @@ fn inspect<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
 mod tests {
     use super::*;
     use crate::args::ParsedArgs;
+
+    /// [`super::run`] one invocation at a time. Observability sinks are
+    /// process-global: while one test's `--events` session is open, a
+    /// pipeline running in a parallel test would write its lineage events
+    /// into that test's file.
+    fn run<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
+        static RUN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        super::run(args, out)
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("nidc_cli_tests");

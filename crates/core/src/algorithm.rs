@@ -7,10 +7,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBackend};
 use nidc_textproc::DocId;
 
-use crate::{Cluster, Clustering, ClusteringConfig, Error, RepBackend, Result};
+use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
 
 /// Extended K-means runs (one per `cluster_with_initial` call on non-empty
 /// input).
@@ -34,9 +34,10 @@ static OUTLIER_DOCS: LazyCounter = LazyCounter::new("nidc_kmeans_outlier_docs_to
 /// dense-equivalent `K·rows` work bound. Compare against
 /// `nidc_index_postings_touched_total` for the inverted-index saving.
 static STEP1_CANDIDATES: LazyCounter = LazyCounter::new("nidc_kmeans_step1_candidates_total");
-/// Wall time of one step-1 assignment sweep (parallel preview + sequential
-/// apply), per repetition. Fine buckets: a converged warm-start sweep over a
-/// small window sits well under a millisecond.
+/// Wall time of one step-1 assignment sweep (score every document against
+/// every cluster and apply its move, in document order), per repetition.
+/// Fine buckets: a converged warm-start sweep over a small window sits well
+/// under a millisecond.
 static STEP1_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_kmeans_step1_seconds", buckets::FINE_SECONDS);
 /// Wall time of one full repetition (sweep + representative rebuild +
@@ -53,29 +54,21 @@ static ITERATION_SECONDS: LazyHistogram =
 /// where avg nnz(φ) ≈ 83 puts the work units at ≈ 670 / 1340 / 2000 for
 /// K = 8 / 16 / 24 and the measured sparse-vs-dense crossover sits between
 /// K = 16 and K = 32: the cutoff flips K ≤ 16 to the dense sweep and keeps
-/// K = 24 (the sharding bench) and up on the index.
+/// K = 24 (the sharding bench) and up on the index. End to end the dense
+/// side matters more than the sweep alone suggests: on the `backfill-k8`
+/// stream replay (15,157 docs, K = 8, 2-vCPU VM) forcing the index sweep
+/// instead moved the tail window from 123 to 476 ms, the median window
+/// from 63 to 91 ms and throughput from 10,002 to 7,258 docs/s, with F1
+/// unchanged.
 const INDEX_MIN_SWEEP_WORK: f64 = 1500.0;
 
-/// Which backend the in-run sweep should use. The sparse backend's inverted
-/// index wins only when the dense sweep would do enough work per document;
-/// for small `K · avg nnz(φ)` the run uses dense representatives internally
-/// — legal because the two backends are bit-identical by contract (see
-/// [`RepBackend`]) — and converts the final representatives back to the
-/// configured backend on exit.
-fn sweep_backend(
-    config: &ClusteringConfig,
-    vecs: &DocVectors,
-    ids: &[DocId],
-    k: usize,
-) -> RepBackend {
-    if config.rep_backend == RepBackend::Dense {
-        return RepBackend::Dense;
-    }
-    let total_nnz: usize = ids
-        .iter()
-        .map(|&d| vecs.phi(d).map_or(0, |phi| phi.nnz()))
-        .sum();
-    let avg_nnz = total_nnz as f64 / ids.len() as f64;
+/// The storage the step-1 sweep runs on: the sparse representatives with
+/// their inverted index when the dense sweep would do enough work per
+/// document, dense representatives otherwise. The two are bit-identical by
+/// contract (see [`RepBackend`]), so this is purely a speed choice.
+fn sweep_backend(vecs: &DocVectors, k: usize) -> RepBackend {
+    let total_nnz: usize = vecs.iter().map(|(_, phi)| phi.nnz()).sum();
+    let avg_nnz = total_nnz as f64 / vecs.len().max(1) as f64;
     if (k as f64) * avg_nnz < INDEX_MIN_SWEEP_WORK {
         RepBackend::Dense
     } else {
@@ -106,8 +99,8 @@ pub fn cluster_batch(vecs: &DocVectors, config: &ClusteringConfig) -> Result<Clu
 /// already-computed dot product `c⃗ · φ_d`: the change of the cluster's
 /// criterion value if `d` joined (`is_current = false`), or `d`'s present
 /// contribution — `score(C) − score(C \ {d})` (`is_current = true`). One
-/// function so the parallel preview, the inverted-index sweep, and the
-/// sequential apply all compute bit-identical values.
+/// function so the dense and the inverted-index sweep compute bit-identical
+/// values.
 fn assignment_delta_from_dot(
     criterion: crate::Criterion,
     rep: &ClusterRep,
@@ -134,27 +127,15 @@ fn assignment_delta_from_dot(
     }
 }
 
-/// [`assignment_delta_from_dot`] with the dot product computed against one
-/// representative directly. Used whenever a cluster's previewed score is
-/// stale (the `dirty` path) and by the dense backend's sweep.
-fn assignment_delta(
-    criterion: crate::Criterion,
-    rep: &ClusterRep,
-    phi: &nidc_textproc::SparseVector,
-    is_current: bool,
-) -> f64 {
-    assignment_delta_from_dot(criterion, rep, rep.dot_doc(phi), phi.norm_sq(), is_current)
-}
-
 /// Fills `row[q]` with the step-1 assignment delta of `phi` against every
 /// cluster `q < reps.len()`.
 ///
-/// With an inverted [`ClusterIndex`] this is the tentpole fast path: one
-/// [`ClusterIndex::dot_all`] pass over φ's terms produces all K dot products
-/// at once — O(Σ_t |postings(t)|) instead of O(K·nnz(φ)) — and each dot is
-/// bit-identical to `reps[q].dot_doc(phi)` (the index mirrors the sparse
-/// representatives entry for entry), so the deltas, and therefore the argmax
-/// winner, match the dense backend exactly.
+/// With an inverted [`ClusterIndex`], one [`ClusterIndex::dot_all`] pass
+/// over φ's terms produces all K dot products at once — O(Σ_t
+/// |postings(t)|) instead of O(K·nnz(φ)) — and each dot is bit-identical to
+/// `reps[q].dot_doc(phi)` (the index mirrors the sparse representatives
+/// entry for entry), so the deltas, and therefore the argmax winner, match
+/// the dense sweep exactly.
 fn score_row_into(
     criterion: crate::Criterion,
     reps: &[ClusterRep],
@@ -174,18 +155,37 @@ fn score_row_into(
             }
         }
         None => {
+            let norm_sq = phi.norm_sq();
             for (q, rep) in reps.iter().enumerate() {
-                row[q] = assignment_delta(criterion, rep, phi, current == Some(q));
+                let dot = rep.dot_doc(phi);
+                row[q] =
+                    assignment_delta_from_dot(criterion, rep, dot, norm_sq, current == Some(q));
             }
         }
     }
 }
 
 /// Runs the extended K-means from an explicit [`InitialState`].
+///
+/// One sequential pass per repetition: the §4.3 sweep is Gauss–Seidel —
+/// every move changes the scores of the documents after it — so it runs on
+/// one thread whatever `config.threads` says, on the storage
+/// [`sweep_backend`] picks from `K · avg nnz(φ)`.
 pub fn cluster_with_initial(
     vecs: &DocVectors,
     config: &ClusteringConfig,
     initial: InitialState,
+) -> Result<Clustering> {
+    let backend = sweep_backend(vecs, config.k.min(vecs.len()));
+    cluster_on(vecs, config, initial, backend)
+}
+
+/// [`cluster_with_initial`] with the sweep storage given.
+fn cluster_on(
+    vecs: &DocVectors,
+    config: &ClusteringConfig,
+    initial: InitialState,
+    run_backend: RepBackend,
 ) -> Result<Clustering> {
     if config.k == 0 {
         return Err(Error::ZeroClusters);
@@ -199,7 +199,6 @@ pub fn cluster_with_initial(
     let _run_span = nidc_obs::span!("kmeans.run");
 
     // --- Initial process -------------------------------------------------
-    let run_backend = sweep_backend(config, vecs, &ids, k);
     let mut reps: Vec<ClusterRep> = (0..k).map(|_| ClusterRep::new_with(run_backend)).collect();
     let mut assign: BTreeMap<DocId, usize> = BTreeMap::new();
     let mut sizes = vec![0usize; k];
@@ -259,15 +258,14 @@ pub fn cluster_with_initial(
         ix.rebuild(&reps);
         ix
     });
-    if index.is_none() && config.rep_backend == RepBackend::Sparse {
-        // the heuristic skipped the index: keep the metric schema stable
+    if index.is_none() {
+        // the dense sweep skips the index: keep the metric schema stable
         ClusterIndex::register_metrics();
     }
 
     let mut g_old: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
     // --- Repetition process ----------------------------------------------
-    let threads = nidc_parallel::resolve_threads(config.threads);
     let mut outliers: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
     let mut scratch = vec![0.0; k];
@@ -282,43 +280,9 @@ pub fn cluster_with_initial(
         // the sweep itself never touches an atomic.
         let mut moved = 0u64;
         let mut demoted = 0u64;
-        // Parallel preview of step 1(a): score every (document, cluster)
-        // pair against the representatives as they stand at the top of the
-        // iteration. The sequential apply below uses a previewed score only
-        // while the cluster's representative is untouched this iteration
-        // (`dirty` check) and recomputes it live otherwise, so the sweep is
-        // bit-identical to the fully sequential one for any thread count.
-        // A document's own assignment only changes at its own turn, so the
-        // `current == Some(q)` branch previewed here is the one the apply
-        // loop takes. On converged iterations nothing moves and every score
-        // comes from the preview — the common case for warm restarts (§5.2).
         let step1_span = nidc_obs::span!("kmeans.step1");
         let step1_timer = STEP1_SECONDS.start_timer();
-        let preview: Option<Vec<Vec<f64>>> = nidc_parallel::should_fan_out(ids.len(), threads)
-            .then(|| {
-                let assign = &assign;
-                let reps = &reps;
-                let index = index.as_ref();
-                nidc_parallel::par_chunks(ids.len(), threads, |range| {
-                    // one scratch row per chunk, cloned per document
-                    let mut row = vec![0.0; k];
-                    range
-                        .map(|di| {
-                            let d = ids[di];
-                            let phi = vecs.phi(d).expect("id comes from vecs");
-                            let current = assign.get(&d).copied();
-                            score_row_into(config.criterion, reps, index, phi, current, &mut row);
-                            row.clone()
-                        })
-                        .collect::<Vec<Vec<f64>>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            });
-        let mut dirty = vec![false; k];
-        let mut any_dirty = false;
-        for (di, &d) in ids.iter().enumerate() {
+        for &d in &ids {
             let phi = vecs.phi(d).expect("id comes from vecs");
             let current = assign.get(&d).copied();
             if let Some(p) = current {
@@ -334,42 +298,18 @@ pub fn cluster_with_initial(
             // d's present contribution, so no mutation is needed unless d
             // actually moves — this keeps converged iterations cheap, which
             // is what makes warm restarts (§5.2) fast.
+            score_row_into(
+                config.criterion,
+                &reps,
+                index.as_ref(),
+                phi,
+                current,
+                &mut scratch,
+            );
             let mut best: Option<(usize, f64)> = None;
-            match &preview {
-                // nothing has moved yet: every previewed row is still exact
-                Some(rows) if !any_dirty => {
-                    for (q, &delta) in rows[di].iter().enumerate() {
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
-                }
-                Some(rows) => {
-                    for (q, rep) in reps.iter().enumerate() {
-                        let delta = if dirty[q] {
-                            assignment_delta(config.criterion, rep, phi, current == Some(q))
-                        } else {
-                            rows[di][q]
-                        };
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
-                }
-                None => {
-                    score_row_into(
-                        config.criterion,
-                        &reps,
-                        index.as_ref(),
-                        phi,
-                        current,
-                        &mut scratch,
-                    );
-                    for (q, &delta) in scratch[..k].iter().enumerate() {
-                        if best.is_none_or(|(_, bd)| delta > bd) {
-                            best = Some((q, delta));
-                        }
-                    }
+            for (q, &delta) in scratch.iter().enumerate() {
+                if best.is_none_or(|(_, bd)| delta > bd) {
+                    best = Some((q, delta));
                 }
             }
             // step 1(b): largest strictly-positive increase wins, else outlier
@@ -382,15 +322,12 @@ pub fn cluster_with_initial(
                                 ix.remove(p, phi);
                             }
                             sizes[p] -= 1;
-                            dirty[p] = true;
                         }
                         reps[q].add(phi);
                         if let Some(ix) = index.as_mut() {
                             ix.add(q, phi);
                         }
                         sizes[q] += 1;
-                        dirty[q] = true;
-                        any_dirty = true;
                         assign.insert(d, q);
                         moved += 1;
                     }
@@ -402,8 +339,6 @@ pub fn cluster_with_initial(
                             ix.remove(p, phi);
                         }
                         sizes[p] -= 1;
-                        dirty[p] = true;
-                        any_dirty = true;
                         assign.remove(&d);
                         demoted += 1;
                     }
@@ -427,7 +362,7 @@ pub fn cluster_with_initial(
                     .map(|d| vecs.phi(*d).expect("member has a vector")),
             );
         }
-        if any_dirty {
+        if moved + demoted > 0 {
             // re-mirror the recomputed representatives (incremental updates
             // above tracked them exactly, but recompute_exact may shed
             // floating-point drift the postings still carry)
@@ -467,16 +402,7 @@ pub fn cluster_with_initial(
             let clusters = members
                 .into_iter()
                 .zip(reps)
-                .map(|(m, rep)| {
-                    // re-home heuristic-chosen sweep backends onto the
-                    // configured one; a bit-exact copy (see to_backend)
-                    let rep = if rep.backend() == config.rep_backend {
-                        rep
-                    } else {
-                        rep.to_backend(config.rep_backend)
-                    };
-                    Cluster::new(m, rep)
-                })
+                .map(|(m, rep)| Cluster::new(m, rep.into_sparse()))
                 .collect();
             return Ok(Clustering::new(clusters, outliers, g_new, iterations));
         }
@@ -698,5 +624,102 @@ mod tests {
             .sum();
         assert!(clustering.g() >= 0.0);
         assert!((clustering.g() - g_direct).abs() < 1e-12);
+    }
+
+    /// `n` random documents of `nnz` distinct terms each, drawn from three
+    /// overlapping topical term ranges so that clusters form.
+    fn corpus(rng: &mut StdRng, n: usize, nnz: std::ops::RangeInclusive<usize>) -> DocVectors {
+        use rand::Rng;
+        let mut repo = Repository::new(DecayParams::from_spans(7.0, 30.0).unwrap());
+        for i in 0..n {
+            let len = rng.gen_range(nnz.clone());
+            let offset = rng.gen_range(0..3usize) * len;
+            let mut terms: Vec<usize> = (offset..offset + 2 * len).collect();
+            terms.shuffle(rng);
+            let pairs: Vec<(u32, f64)> = terms[..len]
+                .iter()
+                .map(|&t| (t as u32, rng.gen_range(1..9u32) as f64))
+                .collect();
+            repo.insert(DocId(i as u64), Timestamp(0.25 * i as f64), tf(&pairs))
+                .unwrap();
+        }
+        DocVectors::build(&repo)
+    }
+
+    /// Runs the extended K-means on both sweep storages and checks the
+    /// outputs bit for bit.
+    fn assert_storages_agree(
+        vecs: &DocVectors,
+        config: &ClusteringConfig,
+        initial: &InitialState,
+    ) -> std::result::Result<(), proptest::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let dense = cluster_on(vecs, config, initial.clone(), RepBackend::Dense).unwrap();
+        let sparse = cluster_on(vecs, config, initial.clone(), RepBackend::Sparse).unwrap();
+        prop_assert_eq!(dense.member_lists(), sparse.member_lists());
+        prop_assert_eq!(dense.outliers(), sparse.outliers());
+        prop_assert!(
+            dense.g().to_bits() == sparse.g().to_bits(),
+            "G differs: dense {} vs index {}",
+            dense.g(),
+            sparse.g()
+        );
+        prop_assert_eq!(dense.iterations(), sparse.iterations());
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// The dense sweep and the cluster-index sweep are interchangeable:
+        /// on narrow documents (the dense side of `INDEX_MIN_SWEEP_WORK`,
+        /// where `cluster_with_initial` picks dense) and on documents wide
+        /// enough for the index side at the drawn K, both storages give the
+        /// same members, outliers, G bits and iteration count, from random
+        /// and from warm-start initial states, under both criteria.
+        #[test]
+        fn sweep_is_storage_invariant(
+            k in 2usize..=24,
+            n in 3usize..40,
+            corpus_seed in 0u64..u64::MAX,
+            warm in proptest::bool::ANY,
+            avg_sim in proptest::bool::ANY,
+            keep_last_member in proptest::bool::ANY,
+        ) {
+            use proptest::prop_assert_eq;
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(corpus_seed);
+            // the run's K shrinks to the document count
+            let wide = (INDEX_MIN_SWEEP_WORK / k.min(n) as f64).ceil() as usize;
+            for (vecs, side) in [
+                (corpus(&mut rng, n, 1..=6), RepBackend::Dense),
+                (corpus(&mut rng, n, wide..=wide + 20), RepBackend::Sparse),
+            ] {
+                prop_assert_eq!(sweep_backend(&vecs, k.min(vecs.len())), side);
+                let config = ClusteringConfig {
+                    k,
+                    seed: corpus_seed,
+                    keep_last_member,
+                    criterion: if avg_sim {
+                        crate::Criterion::AvgSim
+                    } else {
+                        crate::Criterion::GTerm
+                    },
+                    ..ClusteringConfig::default()
+                };
+                let initial = if warm {
+                    let mut prev = BTreeMap::new();
+                    for d in vecs.ids() {
+                        if rng.gen_bool(0.5) {
+                            prev.insert(d, rng.gen_range(0..k.min(vecs.len())));
+                        }
+                    }
+                    InitialState::Assignment(prev)
+                } else {
+                    InitialState::Random
+                };
+                assert_storages_agree(&vecs, &config, &initial)?;
+            }
+        }
     }
 }

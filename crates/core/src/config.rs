@@ -1,7 +1,5 @@
 //! Algorithm configuration.
 
-pub use nidc_similarity::RepBackend;
-
 /// How a document's candidate assignment is scored (paper §4.3 step 1).
 ///
 /// The paper says a document is "assigned to the cluster of which the
@@ -44,17 +42,12 @@ pub struct ClusteringConfig {
     pub keep_last_member: bool,
     /// The assignment criterion (see [`Criterion`]).
     pub criterion: Criterion,
-    /// Worker threads for the parallel hot paths (φ-vector build and the
-    /// step-1 scoring sweep): `0` = all hardware threads, `1` = sequential.
-    /// The clustering, its statistics, and the iteration count are
-    /// bit-identical for any value — see `nidc-parallel` for the contract.
+    /// Worker threads across the shards of a `ShardedPipeline`: `0` = all
+    /// hardware threads, `1` = sequential. A single pipeline's work (φ
+    /// build, step-1 sweep, representative rebuild) is always sequential —
+    /// the §4.3 sweep is Gauss–Seidel, each move changes the next
+    /// document's scores. Results are bit-identical for any value.
     pub threads: usize,
-    /// How cluster representatives are stored ([`RepBackend`]). `Sparse`
-    /// (the default) also routes the step-1 scoring sweep through the
-    /// term→cluster inverted index (`ClusterIndex`); `Dense` keeps the
-    /// original O(K·|V|) storage for A/B verification. Like `threads`, this
-    /// is a performance knob: results are bit-identical for either value.
-    pub rep_backend: RepBackend,
 }
 
 impl Default for ClusteringConfig {
@@ -67,7 +60,6 @@ impl Default for ClusteringConfig {
             keep_last_member: true,
             criterion: Criterion::GTerm,
             threads: 0,
-            rep_backend: RepBackend::default(),
         }
     }
 }

@@ -232,7 +232,7 @@ impl NoveltyPipeline {
         self.expire();
         let vecs = {
             let _span = nidc_obs::span!("pipeline.build_vectors");
-            DocVectors::build_parallel(&self.repo, self.config.threads)
+            DocVectors::build(&self.repo)
         };
         // the effective K shrinks with the live population (K = min(k, n));
         // after heavy expiration the previous assignment may reference
@@ -269,10 +269,10 @@ impl NoveltyPipeline {
         let timer = RECLUSTER_SECONDS.start_timer();
         RECLUSTERS.inc();
         self.expire();
-        self.repo.recompute_from_scratch_with(self.config.threads);
+        self.repo.recompute_from_scratch();
         let vecs = {
             let _span = nidc_obs::span!("pipeline.build_vectors");
-            DocVectors::build_parallel(&self.repo, self.config.threads)
+            DocVectors::build(&self.repo)
         };
         let clustering = cluster_with_initial(&vecs, &self.config, InitialState::Random)?;
         self.previous = Some(clustering.assignment());

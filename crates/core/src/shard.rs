@@ -19,8 +19,8 @@
 //!
 //! Routing is a pure function of the [`DocId`] (or an explicit stream key),
 //! so a fixed shard count always produces the same partition; each shard's
-//! pipeline is bit-identical for any thread count (the PR 1 contract); and
-//! the merge walks shards in index order. Hence a sharded run is
+//! pipeline runs sequentially (`threads` only spreads whole shards over
+//! workers); and the merge walks shards in index order. Hence a sharded run is
 //! bit-identical across `threads ∈ {0, 1, 2, 4, 7, …}`, and `shards = 1`
 //! routes everything to one pipeline, reproducing the unsharded pipeline
 //! bit for bit.

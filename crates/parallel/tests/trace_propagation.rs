@@ -5,6 +5,14 @@ use std::sync::{Mutex, MutexGuard};
 
 use nidc_obs::trace::{self, TracePhase};
 
+/// Maps `f` over `items` item by item through `par_chunks`.
+fn par_map_items(items: &[u64], threads: usize, f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
+    nidc_parallel::par_chunks(items.len(), threads, |r| {
+        r.map(|i| f(&items[i])).collect::<Vec<u64>>()
+    })
+    .concat()
+}
+
 /// Tracing state is process-global; tests that enable it serialise here.
 fn trace_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -19,7 +27,7 @@ fn worker_spans_parent_under_the_fan_out_call() {
     let items: Vec<u64> = (0..16).collect();
     {
         let _root = nidc_obs::span!("test.window");
-        let got = nidc_parallel::par_map(&items, 4, |x| {
+        let got = par_map_items(&items, 4, |x| {
             let _item = nidc_obs::span!("test.item");
             x + 1
         });
@@ -93,7 +101,7 @@ fn span_guards_unwind_across_worker_panics() {
     trace::set_trace_enabled(true);
     let items: Vec<u64> = (0..16).collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        nidc_parallel::par_map(&items, 4, |x| {
+        par_map_items(&items, 4, |x| {
             let _item = nidc_obs::span!("test.panicking_item");
             if *x == 5 {
                 panic!("worker died");

@@ -116,9 +116,9 @@ proptest! {
         prop_assert!((rep.g_term() - rep.size() as f64 * rep.avg_sim()).abs() < 1e-12);
     }
 
-    /// The dense and sparse backends are **bit-identical** (not merely
+    /// The dense and sparse storages are **bit-identical** (not merely
     /// close) through arbitrary interleaved add/remove churn — the property
-    /// that lets the sparse backend be the default without touching the
+    /// that lets the step-1 sweep pick either without touching the
     /// workspace's determinism contract.
     #[test]
     fn backends_bit_identical_under_churn(
@@ -126,8 +126,12 @@ proptest! {
         churn in prop::collection::vec((phi_strategy(), prop::bool::ANY), 0..24),
         probe in phi_strategy(),
     ) {
-        let mut dense = ClusterRep::from_members_with(RepBackend::Dense, initial.iter());
-        let mut sparse = ClusterRep::from_members_with(RepBackend::Sparse, initial.iter());
+        let mut dense = ClusterRep::new_with(RepBackend::Dense);
+        let mut sparse = ClusterRep::new_with(RepBackend::Sparse);
+        for d in &initial {
+            dense.add(d);
+            sparse.add(d);
+        }
         // replay the same add/remove sequence through both; removals only
         // target documents currently in the cluster (mirrors the algorithm)
         let mut present: Vec<&SparseVector> = initial.iter().collect();

@@ -8,10 +8,8 @@
 //! (set `NIDC_SCALE`, default 0.25, for a bigger/smaller stream)
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Mutex};
 use std::thread;
-
-use crossbeam::channel;
-use parking_lot::Mutex;
 
 use khy2006::corpus::TopicId;
 use khy2006::prelude::*;
@@ -42,10 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // consumer — a tiny demonstration of the library being Sync-friendly).
     let names: Mutex<BTreeMap<TopicId, String>> = Mutex::new(BTreeMap::new());
     for t in corpus.topics() {
-        names.lock().insert(t.id, t.name.clone());
+        names
+            .lock()
+            .expect("no thread panics while holding the name table")
+            .insert(t.id, t.name.clone());
     }
 
-    let (tx, rx) = channel::bounded::<DayBatch>(4);
+    let (tx, rx) = mpsc::sync_channel::<DayBatch>(4);
 
     thread::scope(|scope| -> Result<(), Box<dyn std::error::Error>> {
         // Producer: tokenise and ship one day at a time.
@@ -113,7 +114,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         .partial_cmp(&a.rep().g_term())
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                let names = names.lock();
+                let names = names
+                    .lock()
+                    .expect("no thread panics while holding the name table");
                 let headline: Vec<String> = hot
                     .iter()
                     .take(3)

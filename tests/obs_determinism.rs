@@ -2,8 +2,8 @@
 //! change a single bit of any clustering result. The instrumentation is a
 //! pure observer — it never branches the algorithm, never reorders float
 //! accumulation, never feeds a value back — and this suite pins that
-//! contract across the same backend × thread matrix the determinism suite
-//! uses, through a full multi-window pipeline run.
+//! contract across the thread counts the determinism suite uses, through a
+//! full multi-window pipeline run.
 
 use std::collections::BTreeMap;
 
@@ -52,13 +52,12 @@ type WindowResult = (Vec<Vec<DocId>>, Vec<DocId>, f64, usize);
 
 /// Runs the full pipeline (ingest → advance → expire → recluster, four
 /// windows) and returns everything observable about the results.
-fn run_pipeline(backend: RepBackend, threads: usize) -> Vec<WindowResult> {
+fn run_pipeline(threads: usize) -> Vec<WindowResult> {
     let decay = DecayParams::from_spans(4.0, 8.0).unwrap();
     let config = ClusteringConfig {
         k: 3,
         seed: 7,
         threads,
-        rep_backend: backend,
         ..ClusteringConfig::default()
     };
     let mut pipeline = NoveltyPipeline::new(decay, config);
@@ -90,26 +89,20 @@ fn run_pipeline(backend: RepBackend, threads: usize) -> Vec<WindowResult> {
 
 /// The core guarantee: with metric recording AND debug logging enabled, the
 /// clusterings (members, outliers, bitwise G, iteration counts) are
-/// identical to the recorder-off run, per window, across both representative
-/// backends and all thread counts.
+/// identical to the recorder-off run, per window, across all thread counts.
 #[test]
 fn recorder_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
-        for threads in THREAD_COUNTS {
-            khy2006::obs::set_enabled(false);
-            let off = run_pipeline(backend, threads);
+    for threads in THREAD_COUNTS {
+        khy2006::obs::set_enabled(false);
+        let off = run_pipeline(threads);
 
-            khy2006::obs::reset();
-            khy2006::obs::set_enabled(true);
-            let on = run_pipeline(backend, threads);
-            khy2006::obs::set_enabled(false);
+        khy2006::obs::reset();
+        khy2006::obs::set_enabled(true);
+        let on = run_pipeline(threads);
+        khy2006::obs::set_enabled(false);
 
-            assert_eq!(
-                off, on,
-                "recorder flipped the result at backend {backend:?}, threads {threads}"
-            );
-        }
+        assert_eq!(off, on, "recorder flipped the result at threads {threads}");
     }
 }
 
@@ -120,8 +113,7 @@ fn enabled_run_covers_all_instrumented_layers() {
     let _guard = flag_lock();
     khy2006::obs::reset();
     khy2006::obs::set_enabled(true);
-    // threads=2 so the parallel layer records fan-out decisions too
-    let _ = run_pipeline(RepBackend::Sparse, 2);
+    let _ = run_pipeline(2);
     let snap = khy2006::obs::snapshot();
     khy2006::obs::set_enabled(false);
 
@@ -143,9 +135,8 @@ fn enabled_run_covers_all_instrumented_layers() {
         "nidc_forgetting_docs_inserted_total",
         "nidc_forgetting_docs_expired_total",
         "nidc_fp_residue_clamps_total",
-        // parallel layer (registered even when the host never fans out)
-        "nidc_parallel_fanouts_total",
-        "nidc_parallel_sequential_total",
+        // (the parallel layer is only reached across shards; the
+        // metrics-manifest gate covers it through a sharded run)
     ] {
         assert!(
             snap.counter(metric).is_some(),
@@ -180,8 +171,8 @@ fn enabled_run_covers_all_instrumented_layers() {
 /// The lifecycle event stream is held to the same pure-observer contract:
 /// running with an active `--events` sink (which also makes the
 /// `LineageTracker` serialise every event) must not change a single bit of
-/// any clustering result, across both representative backends and all
-/// thread counts — and the stream left behind must be non-trivial.
+/// any clustering result, across all thread counts — and the stream left
+/// behind must be non-trivial.
 #[test]
 fn events_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
@@ -189,30 +180,28 @@ fn events_on_off_results_are_bit_identical() {
         "nidc_obs_determinism_events_{}.jsonl",
         std::process::id()
     ));
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
-        for threads in THREAD_COUNTS {
-            let off = run_pipeline(backend, threads);
+    for threads in THREAD_COUNTS {
+        let off = run_pipeline(threads);
 
-            let session = khy2006::obs::EventSession::create(&path).unwrap();
-            let on = run_pipeline(backend, threads);
-            session.finish().unwrap();
+        let session = khy2006::obs::EventSession::create(&path).unwrap();
+        let on = run_pipeline(threads);
+        session.finish().unwrap();
 
-            assert_eq!(
-                off, on,
-                "the event stream flipped the result at backend {backend:?}, threads {threads}"
-            );
-            let text = std::fs::read_to_string(&path).unwrap();
-            let mut lines = text.lines();
-            assert_eq!(
-                lines.next(),
-                Some("{\"schema\":\"nidc-events\",\"v\":1}"),
-                "stream must start with the schema header"
-            );
-            assert!(
-                text.contains("\"kind\":\"birth\""),
-                "a multi-window run must record births: {text}"
-            );
-        }
+        assert_eq!(
+            off, on,
+            "the event stream flipped the result at threads {threads}"
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("{\"schema\":\"nidc-events\",\"v\":1}"),
+            "stream must start with the schema header"
+        );
+        assert!(
+            text.contains("\"kind\":\"birth\""),
+            "a multi-window run must record births: {text}"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -225,57 +214,45 @@ fn events_on_off_results_are_bit_identical() {
 #[test]
 fn tracing_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
-        for threads in THREAD_COUNTS {
-            khy2006::obs::trace::set_trace_enabled(false);
-            khy2006::obs::trace::clear();
-            let off = run_pipeline(backend, threads);
+    for threads in THREAD_COUNTS {
+        khy2006::obs::trace::set_trace_enabled(false);
+        khy2006::obs::trace::clear();
+        let off = run_pipeline(threads);
 
-            khy2006::obs::trace::set_trace_enabled(true);
-            let on = run_pipeline(backend, threads);
-            khy2006::obs::trace::set_trace_enabled(false);
-            let events = khy2006::obs::trace::drain();
+        khy2006::obs::trace::set_trace_enabled(true);
+        let on = run_pipeline(threads);
+        khy2006::obs::trace::set_trace_enabled(false);
+        let events = khy2006::obs::trace::drain();
 
-            let stats = khy2006::obs::trace::validate_events(&events)
-                .expect("the traced run leaves a well-formed event stream");
-            assert!(stats.spans > 0, "the traced run recorded spans");
-            assert_eq!(
-                off, on,
-                "tracing flipped the result at backend {backend:?}, threads {threads}"
-            );
-        }
+        let stats = khy2006::obs::trace::validate_events(&events)
+            .expect("the traced run leaves a well-formed event stream");
+        assert!(stats.spans > 0, "the traced run recorded spans");
+        assert_eq!(off, on, "tracing flipped the result at threads {threads}");
     }
 }
 
 /// The counting allocator is held to the same pure-observer contract:
 /// tracking every heap allocation must not change a single bit of any
-/// clustering result, across both representative backends and all thread
-/// counts.
+/// clustering result, across all thread counts.
 #[test]
 fn alloc_tracking_on_off_results_are_bit_identical() {
     let _guard = flag_lock();
-    for backend in [RepBackend::Sparse, RepBackend::Dense] {
-        for threads in THREAD_COUNTS {
-            khy2006::obs::alloc::set_tracking(false);
-            let off = run_pipeline(backend, threads);
+    for threads in THREAD_COUNTS {
+        khy2006::obs::alloc::set_tracking(false);
+        let off = run_pipeline(threads);
 
-            khy2006::obs::alloc::set_tracking(true);
-            let on = run_pipeline(backend, threads);
-            khy2006::obs::alloc::set_tracking(false);
+        khy2006::obs::alloc::set_tracking(true);
+        let on = run_pipeline(threads);
+        khy2006::obs::alloc::set_tracking(false);
 
-            assert_eq!(
-                off, on,
-                "alloc tracking flipped the result at backend {backend:?}, threads {threads}"
-            );
-        }
+        assert_eq!(
+            off, on,
+            "alloc tracking flipped the result at threads {threads}"
+        );
     }
 }
 
-/// A stream small enough that every parallel call site stays below its
-/// fan-out gate (`len >= 2 * threads`) for every thread count under test:
-/// three documents over a three-term vocabulary — `par_chunks` over the
-/// vocabulary dimension (statistics recompute) and over the document count
-/// (step 1, doc-vector build) both see `len == 3 < 4`.
+/// Three documents over a three-term vocabulary.
 fn tiny_stream() -> Vec<(u64, f64, SparseVector)> {
     vec![
         (0, 0.0, tf(&[(0, 3.0), (1, 1.0)])),
@@ -304,10 +281,9 @@ fn run_tiny(threads: usize) {
 }
 
 /// For a fixed seed and config, allocation tallies are a pure function of
-/// the input — not of the thread count. The workload stays below every
-/// fan-out gate so all four thread counts run the identical sequential
-/// code path, and the per-thread tallies (immune to allocations from other
-/// test threads) must agree exactly.
+/// the input — not of the thread count. A single pipeline runs the same
+/// sequential code path for every thread count, so the per-thread tallies
+/// (immune to allocations from other test threads) must agree exactly.
 #[test]
 fn alloc_counts_are_thread_count_invariant() {
     let _guard = flag_lock();

@@ -1,16 +1,16 @@
-//! Dense ↔ sparse representative equivalence: the two backends of
-//! [`ClusterRep`] (and the term→cluster [`ClusterIndex`] the sparse backend
-//! routes the step-1 sweep through) must produce **bit-identical** results —
-//! not merely close ones — through arbitrary add/remove/expire churn and for
-//! every thread count. This is the contract that lets `RepBackend::Sparse`
-//! be the default without weakening the workspace's determinism guarantees.
+//! Dense ↔ sparse representative equivalence: the two storages of
+//! [`ClusterRep`] (and the term→cluster [`ClusterIndex`] the sparse sweep
+//! scores through) must produce **bit-identical** step-1 scores — not
+//! merely close ones. This is the contract that lets the extended K-means
+//! pick either sweep per run without weakening the workspace's determinism
+//! guarantees; the whole-run version is the storage-invariance proptest in
+//! `nidc-core`'s algorithm module, and `golden_outputs` pins the end result.
 
 use std::collections::BTreeMap;
 
 use khy2006::prelude::*;
+use khy2006::similarity::RepBackend;
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 5] = [0, 1, 2, 4, 7];
 
 fn tf(pairs: &[(u32, f64)]) -> SparseVector {
     SparseVector::from_entries(pairs.iter().map(|&(i, w)| (TermId(i), w)).collect())
@@ -39,37 +39,6 @@ fn repo_from(docs: &[Vec<(u32, f64)>]) -> Repository {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The full extended K-means: same clustering, same G (bitwise), same
-    /// iteration count and outliers, for both backends and every thread
-    /// count — the matrix the determinism suite pins for `threads` alone.
-    #[test]
-    fn cluster_batch_is_backend_invariant(docs in doc_stream(), seed in 0u64..500) {
-        let repo = repo_from(&docs);
-        let vecs = DocVectors::build(&repo);
-        let reference = cluster_batch(&vecs, &ClusteringConfig {
-            k: 4, seed, threads: 1, rep_backend: RepBackend::Dense,
-            ..ClusteringConfig::default()
-        }).unwrap();
-        for backend in [RepBackend::Dense, RepBackend::Sparse] {
-            for threads in THREAD_COUNTS {
-                let config = ClusteringConfig {
-                    k: 4, seed, threads, rep_backend: backend,
-                    ..ClusteringConfig::default()
-                };
-                let got = cluster_batch(&vecs, &config).unwrap();
-                prop_assert_eq!(got.member_lists(), reference.member_lists(),
-                    "membership differs at backend={} threads={}", backend, threads);
-                prop_assert!(got.g() == reference.g(),
-                    "G differs at backend={} threads={}: {} vs {}",
-                    backend, threads, got.g(), reference.g());
-                prop_assert_eq!(got.iterations(), reference.iterations(),
-                    "iteration count differs at backend={} threads={}", backend, threads);
-                prop_assert_eq!(got.outliers(), reference.outliers(),
-                    "outliers differ at backend={} threads={}", backend, threads);
-            }
-        }
-    }
 
     /// The step-1 scoring sweep in isolation: for every document, the
     /// inverted-index row (`ClusterIndex::dot_all`) and the per-cluster
@@ -107,76 +76,39 @@ proptest! {
             prop_assert_eq!(winner_dense, winner_index);
         }
     }
-
-    /// The full pipeline with decay and expiration: ingest/expire churn
-    /// feeds the same removals through both backends; every window's
-    /// clustering must match bitwise.
-    #[test]
-    fn pipeline_with_expiry_is_backend_invariant(
-        docs in doc_stream(),
-        seed in 0u64..100,
-    ) {
-        let mut per_backend: Vec<Vec<Vec<Vec<DocId>>>> = Vec::new();
-        for backend in [RepBackend::Dense, RepBackend::Sparse] {
-            let mut pipeline = NoveltyPipeline::new(
-                DecayParams::from_spans(3.0, 6.0).unwrap(),
-                ClusteringConfig {
-                    k: 3, seed, rep_backend: backend,
-                    ..ClusteringConfig::default()
-                },
-            );
-            let mut windows = Vec::new();
-            for (i, d) in docs.iter().enumerate() {
-                // a fast clock (one day per doc) so expiration actually
-                // fires mid-stream with γ = 6
-                pipeline.ingest(DocId(i as u64), Timestamp(i as f64), tf(d)).unwrap();
-                if i % 5 == 4 {
-                    windows.push(pipeline.recluster_incremental().unwrap().member_lists());
-                }
-            }
-            windows.push(pipeline.recluster_incremental().unwrap().member_lists());
-            per_backend.push(windows);
-        }
-        prop_assert_eq!(&per_backend[0], &per_backend[1],
-            "windows diverged between dense and sparse backends");
-    }
 }
 
 /// The expire → warm-start path: expired documents are pruned from the
 /// previous assignment in the same pass (`Repository::expire_with`), so the
-/// K-means initial state never carries dead keys — and the result is the
-/// same for both backends.
+/// K-means initial state never carries dead keys.
 #[test]
 fn expired_documents_leave_the_warm_start_assignment() {
-    for backend in [RepBackend::Dense, RepBackend::Sparse] {
-        let mut pipeline = NoveltyPipeline::new(
-            DecayParams::from_spans(3.0, 6.0).unwrap(),
-            ClusteringConfig {
-                k: 2,
-                seed: 7,
-                rep_backend: backend,
-                ..ClusteringConfig::default()
-            },
-        );
-        for i in 0..8u64 {
-            pipeline
-                .ingest(
-                    DocId(i),
-                    Timestamp(0.1 * i as f64),
-                    tf(&[(i as u32 % 2 * 8, 3.0), (1 + i as u32 % 2 * 8, 1.0)]),
-                )
-                .unwrap();
-        }
-        pipeline.recluster_incremental().unwrap();
-        let before: BTreeMap<DocId, usize> = pipeline.previous_assignment().unwrap().clone();
-        assert!(!before.is_empty());
-        // jump past γ: everything expires
-        pipeline.advance_to(Timestamp(20.0)).unwrap();
-        let dead = pipeline.expire();
-        assert_eq!(dead.len(), 8, "backend={backend}: all docs must expire");
-        assert!(
-            pipeline.previous_assignment().unwrap().is_empty(),
-            "backend={backend}: warm-start assignment still holds expired keys"
-        );
+    let mut pipeline = NoveltyPipeline::new(
+        DecayParams::from_spans(3.0, 6.0).unwrap(),
+        ClusteringConfig {
+            k: 2,
+            seed: 7,
+            ..ClusteringConfig::default()
+        },
+    );
+    for i in 0..8u64 {
+        pipeline
+            .ingest(
+                DocId(i),
+                Timestamp(0.1 * i as f64),
+                tf(&[(i as u32 % 2 * 8, 3.0), (1 + i as u32 % 2 * 8, 1.0)]),
+            )
+            .unwrap();
     }
+    pipeline.recluster_incremental().unwrap();
+    let before: BTreeMap<DocId, usize> = pipeline.previous_assignment().unwrap().clone();
+    assert!(!before.is_empty());
+    // jump past γ: everything expires
+    pipeline.advance_to(Timestamp(20.0)).unwrap();
+    let dead = pipeline.expire();
+    assert_eq!(dead.len(), 8, "all docs must expire");
+    assert!(
+        pipeline.previous_assignment().unwrap().is_empty(),
+        "warm-start assignment still holds expired keys"
+    );
 }
