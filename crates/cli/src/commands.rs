@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
 use nidc_core::{cluster_batch, Cluster, ClusteringConfig, MergedClustering, ShardedPipeline};
 use nidc_corpus::{Corpus, Generator, GeneratorConfig, TopicId};
@@ -341,8 +341,6 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
 // ------------------------------------------------------------------ stream
 
 fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
-    let corpus = load_corpus(args)?;
-    let (vocab, tfs) = tokenise(&corpus);
     let decay = decay_from(args, 7.0, 21.0)?;
     let every = args.get_f64("every", 5.0)?;
     let config = ClusteringConfig {
@@ -354,6 +352,9 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     let mut exporter = metrics_exporter(args)?;
     let events = events_session(args)?;
     let trace = trace_session(args)?;
+    // loaded inside the trace session, so the profile shows the JSON parse
+    let corpus = load_corpus(args)?;
+    let (vocab, tfs) = tokenise(&corpus);
     // --shards N: independent stream shards behind the deterministic
     // router (1 = today's single-pipeline behaviour, bit for bit).
     let shards = args.get_usize("shards", 1)?;
@@ -476,12 +477,42 @@ fn stream<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<()> {
     if let Some(e) = events {
         e.finish()?;
     }
+    if let Some(p) = &state_path {
+        save_checkpoint(&pipeline, p)?;
+        writeln!(out, "checkpoint written to {p}")?;
+    }
     if let Some(s) = trace {
         s.finish(out)?;
     }
-    if let Some(p) = &state_path {
-        pipeline.save_json(File::create(p)?)?;
-        writeln!(out, "checkpoint written to {p}")?;
+    Ok(())
+}
+
+/// Writes `pipeline`'s checkpoint to `path` so that a crash or a failed
+/// write never leaves a partial file there: the JSON goes through a buffer
+/// into `<path>.tmp`, which is synced to disk and then renamed over `path`;
+/// on Unix the directory is synced too, so the rename itself is durable.
+fn save_checkpoint(pipeline: &ShardedPipeline, path: &str) -> Result<()> {
+    let tmp = format!("{path}.tmp");
+    let written = File::create(&tmp).and_then(|file| {
+        let mut w = BufWriter::new(file);
+        pipeline.save_json(&mut w)?;
+        w.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?
+            .sync_all()
+    });
+    if let Err(e) = written {
+        // best effort: a temp path that is not a file stays as it is
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = std::path::Path::new(path)
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(std::path::Path::new("."));
+        File::open(dir)?.sync_all()?;
     }
     Ok(())
 }
@@ -936,6 +967,56 @@ mod tests {
         run(&args, &mut out2).unwrap();
         let text = String::from_utf8(out2).unwrap();
         assert!(text.contains("resumed from"), "{text}");
+    }
+
+    #[test]
+    fn failed_checkpoint_save_keeps_the_previous_checkpoint() {
+        let path = generate_corpus("g17.jsonl");
+        let state = temp_path("g17.state.json");
+        let tmp = temp_path("g17.state.json.tmp");
+        let _ = std::fs::remove_file(&state);
+        let _ = std::fs::remove_dir(&tmp);
+        let state_s = state.to_string_lossy().into_owned();
+        let args = ParsedArgs::parse([
+            "stream", "--input", &path, "--every", "60", "--k", "6", "--state", &state_s,
+        ])
+        .unwrap();
+        let mut out = Vec::new();
+        run(&args, &mut out).unwrap();
+        assert!(!tmp.exists(), "the temp file is renamed away");
+        let saved = std::fs::read(&state).unwrap();
+
+        // the temp path is a directory, so the next save cannot create it
+        std::fs::create_dir(&tmp).unwrap();
+        let mut out = Vec::new();
+        let err = run(&args, &mut out).unwrap_err();
+        std::fs::remove_dir(&tmp).unwrap();
+        assert!(matches!(err, CliError::Io(_)), "{err}");
+        assert_eq!(std::fs::read(&state).unwrap(), saved, "checkpoint changed");
+        let text = String::from_utf8(out).unwrap();
+        assert!(!text.contains("checkpoint written"), "{text}");
+    }
+
+    #[test]
+    fn resuming_from_a_truncated_checkpoint_is_a_typed_error() {
+        let path = generate_corpus("g18.jsonl");
+        let state = temp_path("g18.state.json");
+        let _ = std::fs::remove_file(&state);
+        let state_s = state.to_string_lossy().into_owned();
+        let args = ParsedArgs::parse([
+            "stream", "--input", &path, "--every", "60", "--k", "6", "--state", &state_s,
+        ])
+        .unwrap();
+        let mut out = Vec::new();
+        run(&args, &mut out).unwrap();
+        let saved = std::fs::read(&state).unwrap();
+        std::fs::write(&state, &saved[..saved.len() / 2]).unwrap();
+
+        let mut out = Vec::new();
+        match run(&args, &mut out) {
+            Err(CliError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+            other => panic!("expected an invalid-data error, got {other:?}"),
+        }
     }
 
     #[test]

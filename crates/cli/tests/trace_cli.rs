@@ -11,15 +11,16 @@ fn nidc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nidc"))
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nidc_trace_cli_{}", std::process::id()));
+/// A scratch directory of this process, one per test (`tag`).
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nidc_trace_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn sharded_stream_trace_is_well_formed_chrome_json() {
-    let dir = tmpdir();
+    let dir = tmpdir("chrome");
     let corpus = dir.join("corpus.jsonl");
     let trace = dir.join("stream.trace.json");
 
@@ -129,6 +130,47 @@ fn sharded_stream_trace_is_well_formed_chrome_json() {
         checked += 1;
     }
     assert!(checked > 0, "no kmeans.iteration spans recorded");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The JSON layer shows in the profile: the corpus parse, the checkpoint
+/// write, and on resume the checkpoint read.
+#[test]
+fn stream_profile_attributes_corpus_load_and_checkpoint_io() {
+    let dir = tmpdir("json_spans");
+    let corpus = dir.join("corpus.jsonl");
+    let state = dir.join("state.json");
+    let gen = nidc()
+        .args(["generate", "--out"])
+        .arg(&corpus)
+        .args(["--scale", "0.05", "--seed", "3"])
+        .output()
+        .expect("generate runs");
+    assert!(gen.status.success());
+
+    let stream = || {
+        let run = nidc()
+            .args(["stream", "--input"])
+            .arg(&corpus)
+            .args(["--every", "60", "--k", "6", "--trace-summary", "--state"])
+            .arg(&state)
+            .output()
+            .expect("stream runs");
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        String::from_utf8_lossy(&run.stdout).into_owned()
+    };
+    let first = stream();
+    for span in ["corpus.load_jsonl", "persist.save"] {
+        assert!(first.contains(span), "missing {span}: {first}");
+    }
+    assert!(!first.contains("persist.load"), "{first}");
+    let resumed = stream();
+    assert!(resumed.contains("persist.load"), "{resumed}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

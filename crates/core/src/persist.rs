@@ -159,12 +159,14 @@ impl NoveltyPipeline {
 
     /// Serialises the pipeline state as JSON.
     pub fn save_json<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
+        let _span = nidc_obs::span!("persist.save");
         serde_json::to_writer(writer, &self.to_state()).map_err(std::io::Error::from)
     }
 
     /// Restores a pipeline from JSON written by
     /// [`NoveltyPipeline::save_json`].
     pub fn load_json<R: std::io::Read>(reader: R) -> std::io::Result<NoveltyPipeline> {
+        let _span = nidc_obs::span!("persist.load");
         let state: PipelineState = serde_json::from_reader(reader)?;
         NoveltyPipeline::from_state(&state)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
@@ -237,6 +239,7 @@ impl ShardedPipeline {
 
     /// Serialises the sharded pipeline state as JSON.
     pub fn save_json<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
+        let _span = nidc_obs::span!("persist.save");
         serde_json::to_writer(writer, &self.to_state()).map_err(std::io::Error::from)
     }
 
@@ -248,6 +251,7 @@ impl ShardedPipeline {
     /// one-shard pipeline — the migration path for checkpoints that predate
     /// sharding.
     pub fn load_json<R: std::io::Read>(reader: R) -> std::io::Result<ShardedPipeline> {
+        let _span = nidc_obs::span!("persist.load");
         let value: serde_json::Value = serde_json::from_reader(reader)?;
         let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         if value.get("shard_states").is_some() {

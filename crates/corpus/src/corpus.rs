@@ -148,6 +148,7 @@ impl Corpus {
 
     /// Loads a corpus previously written by [`Corpus::save_jsonl`].
     pub fn load_jsonl<R: Read>(reader: R) -> std::io::Result<Self> {
+        let _span = nidc_obs::span!("corpus.load_jsonl");
         let mut lines = BufReader::new(reader).lines();
         let header = lines.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "empty file")
