@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nidc_obs::{buckets, LazyCounter, LazyHistogram};
-use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBackend};
+use nidc_similarity::{ClusterIndex, ClusterRep, DocVectors, RepBackend, TermAccumulator};
 use nidc_textproc::DocId;
 
 use crate::{Cluster, Clustering, ClusteringConfig, Error, Result};
@@ -40,6 +40,11 @@ static STEP1_CANDIDATES: LazyCounter = LazyCounter::new("nidc_kmeans_step1_candi
 /// under a millisecond.
 static STEP1_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_kmeans_step1_seconds", buckets::FINE_SECONDS);
+/// Representatives rebuilt exactly from their members after a sweep — one
+/// per cluster whose membership the sweep touched, plus every cluster in a
+/// run's first iteration. Deterministic; compare against
+/// `K × nidc_kmeans_iterations` for the clusters that were left as they were.
+static REPS_RECOMPUTED: LazyCounter = LazyCounter::new("nidc_kmeans_reps_recomputed_total");
 /// Wall time of one full repetition (sweep + representative rebuild +
 /// convergence test).
 static ITERATION_SECONDS: LazyHistogram =
@@ -47,8 +52,9 @@ static ITERATION_SECONDS: LazyHistogram =
 
 /// Minimum estimated dense-sweep work per document — `K · avg nnz(φ)`,
 /// in multiply-adds — below which the term→cluster inverted index does not
-/// pay for its maintenance (a rebuild per iteration plus postings churn on
-/// every move) and the step-1 sweep runs on dense representatives instead.
+/// pay for its maintenance (a build per run, postings churn on every move
+/// and a re-mirror of every cluster a sweep touched) and the step-1 sweep
+/// runs on dense representatives instead.
 ///
 /// Calibrated on the standard benchmark corpus (`results/BENCH_step1.json`),
 /// where avg nnz(φ) ≈ 83 puts the work units at ≈ 670 / 1340 / 2000 for
@@ -74,6 +80,25 @@ fn sweep_backend(vecs: &DocVectors, k: usize) -> RepBackend {
     } else {
         RepBackend::Sparse
     }
+}
+
+/// Each cluster's members in `DocId` order, from an assignment.
+fn member_lists(assign: &BTreeMap<DocId, usize>, k: usize) -> Vec<Vec<DocId>> {
+    let mut members: Vec<Vec<DocId>> = vec![Vec::new(); k];
+    for (&d, &p) in assign {
+        members[p].push(d);
+    }
+    members
+}
+
+/// The φ vectors of `members`, in order.
+fn phis<'a>(
+    vecs: &'a DocVectors,
+    members: &'a [DocId],
+) -> impl Iterator<Item = &'a nidc_textproc::SparseVector> + 'a {
+    members
+        .iter()
+        .map(|d| vecs.phi(*d).expect("member has a vector"))
 }
 
 /// How the repetition process is initialised.
@@ -190,6 +215,7 @@ fn cluster_on(
     if config.k == 0 {
         return Err(Error::ZeroClusters);
     }
+    REPS_RECOMPUTED.add(0); // registered even by runs that recompute none
     let ids = vecs.ids();
     if ids.is_empty() {
         return Ok(Clustering::new(Vec::new(), Vec::new(), 0.0, 0));
@@ -199,9 +225,7 @@ fn cluster_on(
     let _run_span = nidc_obs::span!("kmeans.run");
 
     // --- Initial process -------------------------------------------------
-    let mut reps: Vec<ClusterRep> = (0..k).map(|_| ClusterRep::new_with(run_backend)).collect();
     let mut assign: BTreeMap<DocId, usize> = BTreeMap::new();
-    let mut sizes = vec![0usize; k];
 
     match initial {
         InitialState::Random => {
@@ -245,10 +269,22 @@ fn cluster_on(
             }
         }
     }
-    for (&d, &p) in &assign {
-        reps[p].add(vecs.phi(d).expect("assigned doc has a vector"));
-        sizes[p] += 1;
-    }
+    // Each representative is built as `add`ing its members in `DocId` order
+    // would build it; the scratch accumulator serves every build of the run,
+    // sized once to the largest term id present.
+    let terms = vecs
+        .iter()
+        .filter_map(|(_, phi)| phi.entries().last())
+        .map(|&(t, _)| t.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut acc = TermAccumulator::with_terms(terms);
+    let members = member_lists(&assign, k);
+    let mut sizes: Vec<usize> = members.iter().map(Vec::len).collect();
+    let mut reps: Vec<ClusterRep> = members
+        .iter()
+        .map(|m| ClusterRep::from_members_with(run_backend, &mut acc, phis(vecs, m)))
+        .collect();
 
     // The sparse sweep routes step 1 through a term→cluster inverted index
     // mirroring the representatives; the dense sweep keeps per-cluster dot
@@ -269,6 +305,12 @@ fn cluster_on(
     let mut outliers: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
     let mut scratch = vec![0.0; k];
+    // Clusters whose membership changed since their last exact recompute.
+    // All start dirty: the initial representatives carry the incremental
+    // `cr_self`, which the first iteration replaces with `Σw²`.
+    let mut dirty = vec![true; k];
+    // Clusters whose last member left during the current sweep.
+    let mut emptied = vec![false; k];
     loop {
         iterations += 1;
         // Span first, timer second: drop order closes the span *after* the
@@ -322,12 +364,15 @@ fn cluster_on(
                                 ix.remove(p, phi);
                             }
                             sizes[p] -= 1;
+                            dirty[p] = true;
+                            emptied[p] |= sizes[p] == 0;
                         }
                         reps[q].add(phi);
                         if let Some(ix) = index.as_mut() {
                             ix.add(q, phi);
                         }
                         sizes[q] += 1;
+                        dirty[q] = true;
                         assign.insert(d, q);
                         moved += 1;
                     }
@@ -339,6 +384,8 @@ fn cluster_on(
                             ix.remove(p, phi);
                         }
                         sizes[p] -= 1;
+                        dirty[p] = true;
+                        emptied[p] |= sizes[p] == 0;
                         assign.remove(&d);
                         demoted += 1;
                     }
@@ -349,26 +396,40 @@ fn cluster_on(
         step1_timer.stop();
         drop(step1_span);
 
-        // steps 2–3: representatives are maintained online; rebuild exactly
-        // to clear floating-point drift, then recompute G
-        let mut members: Vec<Vec<DocId>> = vec![Vec::new(); k];
-        for (&d, &p) in &assign {
-            members[p].push(d);
-        }
-        for (p, rep) in reps.iter_mut().enumerate() {
-            rep.recompute_exact(
-                members[p]
-                    .iter()
-                    .map(|d| vecs.phi(*d).expect("member has a vector")),
-            );
-        }
-        if moved + demoted > 0 {
-            // re-mirror the recomputed representatives (incremental updates
-            // above tracked them exactly, but recompute_exact may shed
-            // floating-point drift the postings still carry)
-            if let Some(ix) = index.as_mut() {
-                ix.rebuild(&reps);
+        // steps 2–3: representatives are maintained online; rebuild the
+        // touched ones exactly to clear floating-point drift, then recompute
+        // G. A clean cluster was rebuilt from the same `DocId`-ordered
+        // members in an earlier iteration, so rebuilding it again would
+        // reproduce it bit for bit. The index drops a rebuilt cluster's
+        // postings along the incremental entries it mirrors (or, for a
+        // cluster the sweep emptied, wherever they are) and takes the exact
+        // ones.
+        let members = member_lists(&assign, k);
+        if let Some(ix) = index.as_mut() {
+            if emptied.contains(&true) {
+                ix.drop_clusters(&emptied);
             }
+        }
+        let mut recomputed = 0u64;
+        for (p, rep) in reps.iter_mut().enumerate() {
+            if !std::mem::take(&mut dirty[p]) {
+                continue;
+            }
+            let was_emptied = std::mem::take(&mut emptied[p]);
+            if let Some(ix) = index.as_mut() {
+                if !was_emptied {
+                    ix.unmirror(p, rep);
+                }
+            }
+            rep.recompute_exact(&mut acc, phis(vecs, &members[p]));
+            if let Some(ix) = index.as_mut() {
+                ix.mirror(p, rep);
+            }
+            recomputed += 1;
+        }
+        #[cfg(debug_assertions)]
+        if let Some(ix) = index.as_ref() {
+            assert!(ix.mirrors(&reps), "cluster index out of step with the reps");
         }
         let g_new: f64 = reps.iter().map(ClusterRep::g_term).sum();
 
@@ -376,6 +437,7 @@ fn cluster_on(
         // still registers the counter) and trace convergence.
         MOVED_DOCS.add(moved);
         OUTLIER_DOCS.add(demoted);
+        REPS_RECOMPUTED.add(recomputed);
         OBJECTIVE_G.observe(g_new);
         if nidc_obs::log_on(nidc_obs::Level::Debug) {
             nidc_obs::debug(
@@ -399,6 +461,9 @@ fn cluster_on(
         g_old = g_new;
         if converged || iterations >= config.max_iters {
             ITERATIONS_HIST.observe(iterations as f64);
+            if let Some(ix) = index.as_ref() {
+                ix.record_size();
+            }
             let clusters = members
                 .into_iter()
                 .zip(reps)

@@ -17,7 +17,7 @@ fn process_wide_live_and_peak_bytes() {
 fn enabled_tracking_counts_alloc_and_dealloc() {
     set_tracking(true);
     reset();
-    let v: Vec<u64> = Vec::with_capacity(128);
+    let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(128));
     let mid = stats();
     drop(v);
     let end = stats();
@@ -32,7 +32,7 @@ fn enabled_tracking_counts_alloc_and_dealloc() {
 fn reset_peak_rebases_to_current_live() {
     set_tracking(true);
     reset();
-    let v: Vec<u64> = Vec::with_capacity(4096);
+    let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(4096));
     drop(v);
     let spiked = stats();
     assert!(spiked.peak_live_bytes >= 32 * 1024);

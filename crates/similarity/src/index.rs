@@ -20,6 +20,17 @@
 //! sparse-representative entry. The scores are therefore bit-identical to
 //! per-cluster dot products, which is what preserves the workspace's
 //! thread-count determinism contract end to end.
+//!
+//! # Upkeep
+//!
+//! A K-means run builds the index once ([`ClusterIndex::rebuild`]), keeps it
+//! in step with every step-1 move ([`ClusterIndex::add`],
+//! [`ClusterIndex::remove`]), and after each sweep re-mirrors only the
+//! clusters whose representatives were recomputed
+//! ([`ClusterIndex::unmirror`] before the recompute — or
+//! [`ClusterIndex::drop_clusters`] for clusters the sweep emptied —
+//! [`ClusterIndex::mirror`] after). Debug builds check
+//! [`ClusterIndex::mirrors`] after every iteration.
 
 use nidc_obs::{buckets, DeepSize, LazyCounter, LazyGauge, LazyHistogram};
 use nidc_textproc::{SparseVector, TermId};
@@ -35,16 +46,16 @@ static POSTINGS_TOUCHED: LazyCounter = LazyCounter::new("nidc_index_postings_tou
 static ADD_OPS: LazyCounter = LazyCounter::new("nidc_index_add_ops_total");
 /// Incremental `remove(cluster, φ)` maintenance operations.
 static REMOVE_OPS: LazyCounter = LazyCounter::new("nidc_index_remove_ops_total");
-/// Full rebuilds from the representatives (once per K-means iteration).
+/// Full rebuilds from the representatives (once per K-means run).
 static REBUILDS: LazyCounter = LazyCounter::new("nidc_index_rebuilds_total");
-/// Wall time of one full rebuild — re-mirroring every representative entry
-/// into the postings spine. Fine buckets: a rebuild over a window-sized
-/// vocabulary runs in microseconds.
+/// Wall time of one full rebuild — mirroring every representative entry
+/// into the postings spine, once per run. Fine buckets: a rebuild over a
+/// window-sized vocabulary runs in microseconds.
 static REBUILD_SECONDS: LazyHistogram =
     LazyHistogram::new("nidc_index_rebuild_seconds", buckets::FINE_SECONDS);
-/// Heap bytes held by the postings spine and lists, sampled after each
-/// rebuild (last-rebuild semantics — incremental add/remove drift between
-/// rebuilds is not tracked; the K-means loop rebuilds once per iteration).
+/// Heap bytes held by the postings spine and lists, sampled by
+/// [`ClusterIndex::record_size`] at the end of each K-means run, after the
+/// last re-mirror (last-run semantics).
 static POSTINGS_BYTES: LazyGauge = LazyGauge::new("nidc_mem_index_postings_bytes");
 
 /// An inverted postings map `TermId → [(cluster, weight)]` mirroring the
@@ -116,6 +127,12 @@ impl ClusterIndex {
         self.postings.iter().all(Vec::is_empty)
     }
 
+    /// The postings list of `t`, `(cluster, weight)` sorted by cluster id
+    /// (empty if no cluster holds `t`).
+    pub fn postings(&self, t: TermId) -> &[(u32, f64)] {
+        self.postings.get(t.index()).map_or(&[], Vec::as_slice)
+    }
+
     /// The mirrored weight of `(term, cluster)` (0.0 if absent).
     pub fn weight(&self, t: TermId, cluster: usize) -> f64 {
         self.postings
@@ -176,16 +193,15 @@ impl ClusterIndex {
         self.update(cluster, phi, -1.0);
     }
 
-    /// Rebuilds all postings from the representatives' stored entries (used
-    /// after `recompute_exact` clears floating-point drift from the reps, so
-    /// index and reps stay bit-identical mirrors of each other).
+    /// Rebuilds all postings from the representatives' stored entries, so
+    /// index and reps are bit-identical mirrors of each other. The K-means
+    /// loop calls it once per run, for the initial representatives.
     pub fn rebuild(&mut self, reps: &[ClusterRep]) {
         REBUILDS.inc();
         let _span = nidc_obs::span!("index.rebuild");
         let _timer = REBUILD_SECONDS.start_timer();
         self.k = reps.len();
-        // keep the spine and list allocations; the K-means loop rebuilds
-        // once per iteration
+        // keep the spine and list allocations of a reused index
         self.postings.iter_mut().for_each(Vec::clear);
         for (q, rep) in reps.iter().enumerate() {
             rep.for_each_entry(|t, w| {
@@ -198,6 +214,83 @@ impl ClusterIndex {
                 self.postings[idx].push((q as u32, w));
             });
         }
+    }
+
+    /// Drops `cluster`'s postings along `rep`'s stored entries — the
+    /// representative the index currently mirrors for it. The first half of
+    /// a re-mirror: call it before the representative is rebuilt, then
+    /// [`ClusterIndex::mirror`] after. O(nnz(rep) · log K).
+    pub fn unmirror(&mut self, cluster: usize, rep: &ClusterRep) {
+        let q = cluster as u32;
+        rep.for_each_entry(|t, _| {
+            let list = &mut self.postings[t.index()];
+            let i = list
+                .binary_search_by_key(&q, |&(c, _)| c)
+                .expect("the index mirrors every representative entry");
+            list.remove(i);
+        });
+    }
+
+    /// Drops every posting of each cluster `q` with `clusters[q]` set, in one
+    /// pass over the spine. For clusters [`ClusterIndex::unmirror`] cannot
+    /// clear: removing a representative's last member restores its exact
+    /// emptiness, while the mirrored postings keep whatever floating-point
+    /// residue the removals left, at terms the representative no longer
+    /// lists. O(spine + postings).
+    pub fn drop_clusters(&mut self, clusters: &[bool]) {
+        for list in &mut self.postings {
+            list.retain(|&(q, _)| !clusters[q as usize]);
+        }
+    }
+
+    /// Inserts `rep`'s stored entries as `cluster`'s postings, each at its
+    /// sorted position, after [`ClusterIndex::unmirror`] or
+    /// [`ClusterIndex::drop_clusters`] cleared the cluster. Lists stay sorted by cluster id, as a full
+    /// [`ClusterIndex::rebuild`] would leave them. O(nnz(rep) · log K).
+    pub fn mirror(&mut self, cluster: usize, rep: &ClusterRep) {
+        let q = cluster as u32;
+        rep.for_each_entry(|t, w| {
+            let idx = t.index();
+            if idx >= self.postings.len() {
+                self.postings.resize_with(idx + 1, Vec::new);
+            }
+            let list = &mut self.postings[idx];
+            let i = list
+                .binary_search_by_key(&q, |&(c, _)| c)
+                .expect_err("unmirror cleared the cluster");
+            list.insert(i, (q, w));
+        });
+    }
+
+    /// Whether the postings are exactly `reps`' stored entries: every
+    /// `(term, cluster)` posting present with the same weight bits, none
+    /// extra, each list sorted by cluster id. The K-means loop asserts it
+    /// after every iteration in debug builds.
+    pub fn mirrors(&self, reps: &[ClusterRep]) -> bool {
+        if self.k != reps.len() {
+            return false;
+        }
+        let sorted = self
+            .postings
+            .iter()
+            .all(|l| l.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut entries = 0usize;
+        let mut found = true;
+        for (q, rep) in reps.iter().enumerate() {
+            rep.for_each_entry(|t, w| {
+                entries += 1;
+                found &= self.postings.get(t.index()).is_some_and(|list| {
+                    list.binary_search_by_key(&(q as u32), |&(c, _)| c)
+                        .is_ok_and(|i| list[i].1.to_bits() == w.to_bits())
+                });
+            });
+        }
+        sorted && found && entries == self.postings_len()
+    }
+
+    /// Samples the index's heap footprint into
+    /// `nidc_mem_index_postings_bytes`.
+    pub fn record_size(&self) {
         POSTINGS_BYTES.set(self.deep_size_bytes());
     }
 
@@ -325,6 +418,34 @@ mod tests {
             rebuilt.dot_all(d, &mut b);
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn remirror_after_recompute_matches_rebuild() {
+        let (mut reps, mut index, ds) = mirrored(2);
+        assert!(index.mirrors(&reps));
+        let members = [&ds[0], &ds[2], &ds[4]];
+        reps[0].add(&ds[1]);
+        index.add(0, &ds[1]);
+        reps[0].remove(&ds[1]);
+        index.remove(0, &ds[1]);
+        index.unmirror(0, &reps[0]);
+        reps[0].recompute_exact(&mut crate::TermAccumulator::new(), members);
+        index.mirror(0, &reps[0]);
+        assert!(index.mirrors(&reps));
+        let mut rebuilt = ClusterIndex::new(2);
+        rebuilt.rebuild(&reps);
+        for t in 0..5 {
+            assert_eq!(index.postings(TermId(t)), rebuilt.postings(TermId(t)));
+        }
+    }
+
+    #[test]
+    fn mirrors_detects_a_stale_index() {
+        let (mut reps, index, ds) = mirrored(2);
+        reps[1].add(&ds[0]);
+        assert!(!index.mirrors(&reps));
+        assert!(!ClusterIndex::new(3).mirrors(&reps), "wrong cluster count");
     }
 
     #[test]

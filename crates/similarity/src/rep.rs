@@ -42,6 +42,103 @@ enum Storage {
     Sparse(SparseVector),
 }
 
+/// Dense per-term scratch for building sparse representatives from their
+/// members: one `f64` slot per term id, a `u32` stamp per slot naming the
+/// build it belongs to (so starting a build clears nothing), and the list
+/// of terms the build touched, sorted once when the build finishes.
+///
+/// Each slot sees the member weights in member order through the same
+/// scalar operations as a sparse entry under repeated
+/// [`SparseVector::axpy_in_place`] (`w` for a fresh term, `a + w` after),
+/// and exact zeros are pruned at the end, so a build yields the entries
+/// sequential [`ClusterRep::add`]s give. Memory is 12 bytes per term id
+/// up to the largest one seen; allocate one per clustering run.
+#[derive(Debug, Clone, Default)]
+pub struct TermAccumulator {
+    slots: Vec<f64>,
+    stamps: Vec<u32>,
+    build: u32,
+    touched: Vec<TermId>,
+}
+
+impl TermAccumulator {
+    /// An empty accumulator; slots grow on demand.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An accumulator with slots for term ids below `terms` allocated up
+    /// front (and no spare capacity); larger ids still grow it on demand.
+    pub fn with_terms(terms: usize) -> Self {
+        Self {
+            slots: vec![0.0; terms],
+            stamps: vec![0; terms],
+            ..Self::default()
+        }
+    }
+
+    /// Starts a build: every slot reads as absent.
+    fn begin(&mut self) {
+        self.touched.clear();
+        self.build = self.build.wrapping_add(1);
+        if self.build == 0 {
+            // the stamp wrapped: forget every stamp so none reads as current
+            self.stamps.iter_mut().for_each(|s| *s = 0);
+            self.build = 1;
+        }
+    }
+
+    /// The current build's weight of `t` (0.0 if the build never touched it).
+    fn get(&self, t: TermId) -> f64 {
+        let i = t.index();
+        if self.stamps.get(i) == Some(&self.build) {
+            self.slots[i]
+        } else {
+            0.0
+        }
+    }
+
+    /// `Σ slot(t)·w` over φ's terms in term order — the accumulation
+    /// [`ClusterRep::dot_doc`] performs on the sparse storage.
+    fn dot(&self, phi: &SparseVector) -> f64 {
+        let mut acc = 0.0;
+        for (t, w) in phi.iter() {
+            acc += self.get(t) * w;
+        }
+        acc
+    }
+
+    /// Folds `+φ` into the slots.
+    fn add(&mut self, phi: &SparseVector) {
+        for (t, w) in phi.iter() {
+            let i = t.index();
+            if i >= self.slots.len() {
+                self.slots.resize(i + 1, 0.0);
+                self.stamps.resize(i + 1, 0);
+            }
+            if self.stamps[i] == self.build {
+                self.slots[i] += w;
+            } else {
+                self.stamps[i] = self.build;
+                self.slots[i] = w;
+                self.touched.push(t);
+            }
+        }
+    }
+
+    /// Ends the build: the non-zero slots, by ascending term id.
+    fn finish(&mut self) -> SparseVector {
+        self.touched.sort_unstable();
+        let entries = self
+            .touched
+            .iter()
+            .map(|&t| (t, self.slots[t.index()]))
+            .filter(|&(_, w)| w != 0.0)
+            .collect();
+        SparseVector::from_sorted(entries)
+    }
+}
+
 /// A cluster representative `c⃗_p = Σ_{d∈C_p} φ_d` (eq. 19–20) together with
 /// the cached quantities of §4.4:
 ///
@@ -88,15 +185,50 @@ impl ClusterRep {
         }
     }
 
-    /// Builds a representative from a set of member φ vectors.
+    /// Builds a representative from a set of member φ vectors: the same
+    /// representative, bit for bit, as [`ClusterRep::add`]ing them to an
+    /// empty cluster in order.
     pub fn from_members<'a, I>(members: I) -> Self
     where
         I: IntoIterator<Item = &'a SparseVector>,
     {
-        let mut rep = Self::new();
-        for phi in members {
-            rep.add(phi);
+        Self::from_members_with(RepBackend::Sparse, &mut TermAccumulator::new(), members)
+    }
+
+    /// [`ClusterRep::from_members`] on an explicit storage, with the caller's
+    /// scratch accumulator (reused across the clusters of one run).
+    ///
+    /// Sparse storage replays the `add` sequence on `acc` instead of merging
+    /// each member into a growing entry list: each member's dot is
+    /// `Σ slot(t)·w` in φ's term order (an absent slot reads `0.0`, as
+    /// [`SparseVector::get`] does), so `cr_self += 2·dot + |φ|²`, `ss` and the
+    /// entries are bit-identical to sequential adds, in O(Σ nnz(φ) + nnz log
+    /// nnz). Dense storage adds member by member, already O(nnz(φ)) each.
+    pub fn from_members_with<'a, I>(
+        backend: RepBackend,
+        acc: &mut TermAccumulator,
+        members: I,
+    ) -> Self
+    where
+        I: IntoIterator<Item = &'a SparseVector>,
+    {
+        let mut rep = Self::new_with(backend);
+        if backend == RepBackend::Dense {
+            for phi in members {
+                rep.add(phi);
+            }
+            return rep;
         }
+        acc.begin();
+        for phi in members {
+            let dot = acc.dot(phi);
+            let norm_sq = phi.norm_sq();
+            rep.cr_self += 2.0 * dot + norm_sq;
+            rep.ss += norm_sq;
+            rep.size += 1;
+            acc.add(phi);
+        }
+        rep.storage = Storage::Sparse(acc.finish());
         rep
     }
 
@@ -419,8 +551,10 @@ impl ClusterRep {
     }
 
     /// Rebuilds every cached quantity exactly from the member φ vectors
-    /// (removes floating-point drift after long add/remove chains).
-    pub fn recompute_exact<'a, I>(&mut self, members: I)
+    /// (removes floating-point drift after long add/remove chains):
+    /// per-term sums in member order, `cr_self = Σw²` over the sorted
+    /// entries. Sparse storage accumulates in `acc`, the caller's scratch.
+    pub fn recompute_exact<'a, I>(&mut self, acc: &mut TermAccumulator, members: I)
     where
         I: IntoIterator<Item = &'a SparseVector>,
     {
@@ -443,25 +577,16 @@ impl ClusterRep {
                 self.cr_self = v.iter().map(|r| r * r).sum();
             }
             Storage::Sparse(s) => {
-                // Accumulate per term in member order — the same scalar-op
-                // sequence the dense backend's slot accumulation performs —
-                // into a hash map, then sort once. An axpy per member would
-                // rewrite the whole entry list each time (O(|C|·nnz(c⃗))).
-                // Map iteration order is never observed: entries are sorted
-                // before use.
-                let mut acc: std::collections::HashMap<TermId, f64> =
-                    std::collections::HashMap::with_capacity(s.nnz());
+                // the same scalar-op sequence as the dense slot accumulation;
+                // an axpy per member would rewrite the whole entry list each
+                // time (O(|C|·nnz(c⃗)))
+                acc.begin();
                 for phi in members {
-                    for (t, w) in phi.iter() {
-                        *acc.entry(t).or_insert(0.0) += w;
-                    }
+                    acc.add(phi);
                     self.ss += phi.norm_sq();
                     self.size += 1;
                 }
-                let mut entries: Vec<(TermId, f64)> =
-                    acc.into_iter().filter(|&(_, w)| w != 0.0).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                *s = SparseVector::from_sorted(entries);
+                *s = acc.finish();
                 self.cr_self = s.iter().map(|(_, w)| w * w).sum();
             }
         }
@@ -726,11 +851,27 @@ mod tests {
             let members = sample_members();
             let rep = rep_on(backend, &members);
             let mut exact = rep.clone();
-            exact.recompute_exact(members.iter());
+            exact.recompute_exact(&mut TermAccumulator::new(), members.iter());
             assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-12);
             assert!((rep.ss() - exact.ss()).abs() < 1e-12);
             assert_eq!(rep.size(), exact.size());
         }
+    }
+
+    #[test]
+    fn accumulator_survives_a_stamp_wrap() {
+        let members = sample_members();
+        let mut acc = TermAccumulator::new();
+        let reference = ClusterRep::from_members_with(RepBackend::Sparse, &mut acc, &members);
+        // a stale slot from the last build before the wrap must read as absent
+        acc.build = u32::MAX;
+        acc.stamps[0] = 1;
+        let rebuilt = ClusterRep::from_members_with(RepBackend::Sparse, &mut acc, &members[1..]);
+        let fresh = ClusterRep::from_members(&members[1..]);
+        assert_eq!(acc.build, 1);
+        assert_eq!(rebuilt.cr_self().to_bits(), fresh.cr_self().to_bits());
+        assert_eq!(rebuilt.weight(TermId(0)), fresh.weight(TermId(0)));
+        assert_eq!(reference.size(), members.len());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! incremental formulas must agree with brute-force pairwise computation for
 //! arbitrary clusters and arbitrary add/remove sequences.
 
-use nidc_similarity::{ClusterRep, RepBackend};
+use std::collections::HashMap;
+
+use nidc_similarity::{ClusterIndex, ClusterRep, RepBackend, TermAccumulator};
 use nidc_textproc::{SparseVector, TermId};
 use proptest::prelude::*;
 
@@ -12,6 +14,83 @@ fn phi_strategy() -> impl Strategy<Value = SparseVector> {
     prop::collection::vec((0u32..DIM, 0.01f64..1.0), 1..6).prop_map(|pairs| {
         SparseVector::from_entries(pairs.into_iter().map(|(t, w)| (TermId(t), w)).collect())
     })
+}
+
+/// Signed weights on which sums are exact (dyadic), so member weights cancel
+/// to exactly `0.0` part-way through a sequence; non-dyadic ones; and `−0.0`.
+fn weight_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-6i32..=6).prop_map(|n| n as f64 * 0.25),
+        (-6i32..=6).prop_map(|n| n as f64 * 0.25),
+        -1.0f64..1.0,
+        Just(-0.0),
+    ]
+}
+
+/// A member vector with signed weights. Built with `from_sorted`, so a
+/// stored `±0.0` weight can reach the representative as it is.
+fn signed_phi_strategy() -> impl Strategy<Value = SparseVector> {
+    prop::collection::vec((0u32..DIM, weight_strategy()), 1..6).prop_map(|pairs| {
+        let unique: std::collections::BTreeMap<u32, f64> = pairs.into_iter().collect();
+        SparseVector::from_sorted(unique.into_iter().map(|(t, w)| (TermId(t), w)).collect())
+    })
+}
+
+/// Member lists in which about half the members repeat an earlier one
+/// negated, so whole entries cancel exactly mid-sequence.
+fn cancelling_members(max: usize) -> impl Strategy<Value = Vec<SparseVector>> {
+    prop::collection::vec((signed_phi_strategy(), 0usize..16), 0..max).prop_map(|raw| {
+        let mut out: Vec<SparseVector> = Vec::new();
+        for (phi, pick) in raw {
+            if pick < 8 && !out.is_empty() {
+                let src = &out[pick % out.len()];
+                let neg = src.iter().map(|(t, w)| (t, -w)).collect();
+                out.push(SparseVector::from_sorted(neg));
+            } else {
+                out.push(phi);
+            }
+        }
+        out
+    })
+}
+
+/// `(term, weight bits)` of every stored entry, in order.
+fn entry_bits(rep: &ClusterRep) -> Vec<(TermId, u64)> {
+    let mut out = Vec::new();
+    rep.for_each_entry(|t, w| out.push((t, w.to_bits())));
+    out
+}
+
+/// Every cached statistic and stored entry, as raw bits.
+fn rep_bits(rep: &ClusterRep) -> (usize, u64, u64, Vec<(TermId, u64)>) {
+    (
+        rep.size(),
+        rep.cr_self().to_bits(),
+        rep.ss().to_bits(),
+        entry_bits(rep),
+    )
+}
+
+/// The exact recompute as a hash map accumulates it: per term in member
+/// order, zeros pruned, entries sorted, `cr_self = Σw²` over them.
+fn hashmap_exact(members: &[SparseVector]) -> (usize, u64, u64, Vec<(TermId, u64)>) {
+    let mut acc: HashMap<TermId, f64> = HashMap::new();
+    let mut ss = 0.0;
+    for phi in members {
+        for (t, w) in phi.iter() {
+            *acc.entry(t).or_insert(0.0) += w;
+        }
+        ss += phi.norm_sq();
+    }
+    let mut entries: Vec<(TermId, f64)> = acc.into_iter().filter(|&(_, w)| w != 0.0).collect();
+    entries.sort_unstable_by_key(|&(t, _)| t);
+    let cr_self: f64 = entries.iter().map(|(_, w)| w * w).sum();
+    (
+        members.len(),
+        cr_self.to_bits(),
+        ss.to_bits(),
+        entries.iter().map(|&(t, w)| (t, w.to_bits())).collect(),
+    )
 }
 
 fn brute_avg_sim(members: &[SparseVector]) -> f64 {
@@ -82,7 +161,7 @@ proptest! {
             rep.remove(d);
         }
         let mut exact = rep.clone();
-        exact.recompute_exact(initial.iter());
+        exact.recompute_exact(&mut TermAccumulator::new(), initial.iter());
         prop_assert!((rep.cr_self() - exact.cr_self()).abs() < 1e-8);
         prop_assert!((rep.ss() - exact.ss()).abs() < 1e-8);
         prop_assert_eq!(rep.size(), exact.size());
@@ -159,6 +238,102 @@ proptest! {
         if dense.size() >= 2 && !present.is_empty() {
             let d = present[0];
             prop_assert!(dense.avg_sim_if_removed(d) == sparse.avg_sim_if_removed(d));
+        }
+    }
+
+    /// The accumulator build of a representative is bit-identical to
+    /// sequential `add`s — entries, `cr_self`, `ss` and size — through
+    /// signed weights, exact mid-sequence cancellation and `−0.0`, with one
+    /// accumulator reused across builds.
+    #[test]
+    fn accumulator_build_matches_sequential_adds(
+        lists in prop::collection::vec(cancelling_members(12), 1..4),
+    ) {
+        let mut acc = TermAccumulator::new();
+        for members in &lists {
+            let mut sequential = ClusterRep::new();
+            for phi in members {
+                sequential.add(phi);
+            }
+            let built = ClusterRep::from_members_with(RepBackend::Sparse, &mut acc, members);
+            prop_assert_eq!(rep_bits(&built), rep_bits(&sequential));
+            let dense = ClusterRep::from_members_with(RepBackend::Dense, &mut acc, members)
+                .into_sparse();
+            prop_assert_eq!(rep_bits(&dense), rep_bits(&sequential));
+        }
+    }
+
+    /// The accumulator `recompute_exact` equals a hash-map accumulation bit
+    /// for bit, whatever state the representative was in and however often
+    /// the accumulator was used before.
+    #[test]
+    fn accumulator_recompute_matches_hashmap_reference(
+        start in cancelling_members(8),
+        lists in prop::collection::vec(cancelling_members(12), 1..4),
+    ) {
+        let mut acc = TermAccumulator::new();
+        let mut rep = ClusterRep::from_members(&start);
+        for members in &lists {
+            rep.recompute_exact(&mut acc, members);
+            prop_assert_eq!(rep_bits(&rep), hashmap_exact(members));
+        }
+    }
+
+    /// After random add/remove churn, re-mirroring each touched cluster
+    /// (drop its postings, recompute it exactly, insert the new entries)
+    /// leaves every postings list equal, entry for entry and in order, to
+    /// the one a fresh `ClusterIndex::rebuild` gives. Clusters the churn
+    /// emptied are dropped wholesale: their postings may hold residue at
+    /// terms the emptied representative no longer lists.
+    #[test]
+    fn remirroring_matches_a_fresh_rebuild(
+        k in 1usize..6,
+        initial in cancelling_members(16),
+        churn in prop::collection::vec((signed_phi_strategy(), 0usize..6, prop::bool::ANY), 0..24),
+    ) {
+        let mut acc = TermAccumulator::new();
+        let mut members: Vec<Vec<SparseVector>> = vec![Vec::new(); k];
+        for (i, phi) in initial.into_iter().enumerate() {
+            members[i % k].push(phi);
+        }
+        let mut reps: Vec<ClusterRep> = members
+            .iter()
+            .map(|m| ClusterRep::from_members_with(RepBackend::Sparse, &mut acc, m))
+            .collect();
+        let mut index = ClusterIndex::new(k);
+        index.rebuild(&reps);
+        let mut dirty = vec![false; k];
+        let mut emptied = vec![false; k];
+        for (phi, q, is_add) in churn {
+            let q = q % k;
+            if is_add || members[q].is_empty() {
+                reps[q].add(&phi);
+                index.add(q, &phi);
+                members[q].push(phi);
+            } else {
+                let mid = members[q].len() / 2;
+                let victim = members[q].remove(mid);
+                reps[q].remove(&victim);
+                index.remove(q, &victim);
+                emptied[q] |= members[q].is_empty();
+            }
+            dirty[q] = true;
+        }
+        index.drop_clusters(&emptied);
+        for q in (0..k).filter(|&q| dirty[q]) {
+            if !emptied[q] {
+                index.unmirror(q, &reps[q]);
+            }
+            reps[q].recompute_exact(&mut acc, &members[q]);
+            index.mirror(q, &reps[q]);
+        }
+        prop_assert!(index.mirrors(&reps));
+        let mut fresh = ClusterIndex::new(k);
+        fresh.rebuild(&reps);
+        for t in 0..DIM {
+            let (a, b) = (index.postings(TermId(t)), fresh.postings(TermId(t)));
+            let bits = |l: &[(u32, f64)]| l.iter().map(|&(q, w)| (q, w.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(a), bits(b), "term {}", t);
         }
     }
 }

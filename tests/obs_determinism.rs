@@ -128,6 +128,7 @@ fn enabled_run_covers_all_instrumented_layers() {
         "nidc_kmeans_cold_starts_total",
         "nidc_kmeans_moved_docs_total",
         "nidc_kmeans_step1_candidates_total",
+        "nidc_kmeans_reps_recomputed_total",
         // inverted-index layer
         "nidc_index_postings_touched_total",
         "nidc_index_rebuilds_total",
